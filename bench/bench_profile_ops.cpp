@@ -124,13 +124,13 @@ void BM_EarliestFit(benchmark::State& state) {
 BENCHMARK(BM_EarliestFit)->Range(64, 16384);
 
 void BM_BackfillChurn(benchmark::State& state) {
-  // EASY-phase-2-shaped tentative probe loop: commit a candidate, run a
-  // wide windowed probe (the head's reservation check), revert. The undo
-  // log reverts in O(touched) and keeps the index snapshot warm -- the
-  // index_rebuilds counter stays at the single warm-up build no matter how
-  // many probes run. Structure mirrors BM_BackfillChurnLegacy exactly
-  // (same prng, same skip decisions), so the delta is the pair mechanism.
+  // Commit/probe/rewind loop, the shape of a branch-and-bound branch: take
+  // a checkpoint, commit a recorded frame, run a wide windowed probe, rewind.
+  // The undo log reverts in O(touched) and keeps the index snapshot warm --
+  // the index_rebuilds counter stays at the single warm-up build no matter
+  // how many probes run.
   FreeProfile free(busy_profile(state.range(0), 6));
+  free.set_recording(true);
   benchmark::DoNotOptimize(free.profile().min_in(0, 100'000));  // warm index
   Prng prng(21);
   std::uint64_t allocs = 0;
@@ -140,41 +140,22 @@ void BM_BackfillChurn(benchmark::State& state) {
     const ProcCount q = prng.uniform_int(1, 64);
     if (!free.fits_at(t, q, 300)) continue;
     const std::uint64_t allocs_begin = alloc_count();
-    FreeProfile::CommitToken token = free.commit_tentative(t, q, 300);
+    const FreeProfile::Checkpoint before = free.checkpoint();
+    free.commit_fitted(t, q, 300);
     benchmark::DoNotOptimize(free.profile().min_in(0, 100'000));
-    free.rollback(std::move(token));
+    free.rewind_to(before);
     allocs += alloc_count() - allocs_begin;
     ++probes;
   }
   state.counters["index_rebuilds"] =
       static_cast<double>(free.profile().index_build_count());
-  // Steady-state commit/probe/rollback cycles should be allocation-free:
-  // undo frames come from the spare pool, segment edits reuse capacity.
+  // Steady-state commit/probe/rewind cycles should be allocation-free:
+  // frames come from the spare pool, segment edits reuse capacity.
   state.counters["allocs_per_probe"] =
       probes > 0 ? static_cast<double>(allocs) / static_cast<double>(probes)
                  : 0.0;
 }
 BENCHMARK(BM_BackfillChurn)->Range(64, 4096);
-
-void BM_BackfillChurnLegacy(benchmark::State& state) {
-  // The pre-undo-log pair: uncommit re-runs add's probe/split/coalesce and
-  // each half drains one index-rebuild budget unit, so sustained probing
-  // forces a full O(s) rebuild every ~s/2 pairs (watch index_rebuilds).
-  StepProfile profile = busy_profile(state.range(0), 6);
-  benchmark::DoNotOptimize(profile.min_in(0, 100'000));  // warm index
-  Prng prng(21);
-  for (auto _ : state) {
-    const Time t = prng.uniform_int(0, 50'000);
-    const ProcCount q = prng.uniform_int(1, 64);
-    if (profile.first_below(t, t + 300, q) != kTimeInfinity) continue;
-    profile.add(t, t + 300, -q);
-    benchmark::DoNotOptimize(profile.min_in(0, 100'000));
-    profile.add(t, t + 300, q);
-  }
-  state.counters["index_rebuilds"] =
-      static_cast<double>(profile.index_build_count());
-}
-BENCHMARK(BM_BackfillChurnLegacy)->Range(64, 4096);
 
 void BM_ProfilePlus(benchmark::State& state) {
   const StepProfile a = busy_profile(state.range(0), 8);

@@ -22,9 +22,8 @@
 //     rest of the pass: the rescan would have probed each of its jobs only
 //     to fail fits_at immediately (capacity at t is the minimum over the
 //     job's window, so value-at-t below q already decides it). Capacity at
-//     t never rises within a pass -- commits subtract, and the only
-//     transient restore (EASY's tentative backfill) is unwound before the
-//     next candidate is popped -- so retirement is permanent for the pass.
+//     t never rises within a pass -- commits only subtract -- so retirement
+//     is permanent for the pass.
 //
 // Equivalence sketch: a pass examines precisely the pending jobs the
 // rescan would have examined minus jobs that provably fail their capacity

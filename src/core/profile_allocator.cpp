@@ -10,7 +10,7 @@
 namespace resched {
 
 namespace {
-// Floor of the frame-pool cap: enough for probe loops and shallow plans
+// Floor of the frame-pool cap: enough for shallow searches and plans
 // even before the open-stack high-water mark has been established.
 constexpr std::size_t kMinPoolFrames = 8;
 }  // namespace
@@ -61,89 +61,47 @@ Time FreeProfile::earliest_fit(Time t0, ProcCount q, Time p) const {
   }
 }
 
-void FreeProfile::push_frame(Time t, ProcCount q, Time p, bool accepted) {
-  OpenCommit frame;
+void FreeProfile::push_frame(Time t, ProcCount q, Time p) {
+  Frame frame;
   if (!frame_pool_.empty()) {
     // Recycle a whole retired frame: its undo record keeps the buffer
     // capacity of the widest window it ever held, so a warmed-up
-    // plan/rewind cycle opens frames without touching the heap.
+    // commit/rewind cycle opens frames without touching the heap.
     frame = std::move(frame_pool_.back());
     frame_pool_.pop_back();
   } else {
     ++frame_misses_;
   }
   frame.serial = ++next_serial_;
-  frame.t = t;
-  frame.q = q;
-  frame.p = p;
-  frame.accepted = accepted;
   profile_.add_recorded(t, checked_add(t, p), -q, frame.undo);
-  open_.push_back(std::move(frame));
-  open_high_water_ = std::max(open_high_water_, open_.size());
+  frames_.push_back(std::move(frame));
+  frames_high_water_ = std::max(frames_high_water_, frames_.size());
+}
+
+void FreeProfile::pop_frame() {
+  Frame& top = frames_.back();
+  profile_.rollback(top.undo);
+  // Adaptive cap: a rewind of the deepest plan ever carried recycles every
+  // frame; anything past that depth would be dead weight.
+  if (frame_pool_.size() < std::max(kMinPoolFrames, frames_high_water_))
+    frame_pool_.push_back(std::move(top));
+  frames_.pop_back();
 }
 
 void FreeProfile::commit(Time t, ProcCount q, Time p) {
   RESCHED_REQUIRE_MSG(fits_at(t, q, p),
                       "commit of a job that does not fit at its start time");
-  if (retain_accepted_) {
-    push_frame(t, q, p, /*accepted=*/true);
-    return;
-  }
-  profile_.add(t, checked_add(t, p), -q);
-  ++permanent_mutations_;
+  commit_fitted(t, q, p);
 }
 
 void FreeProfile::commit_fitted(Time t, ProcCount q, Time p) {
   RESCHED_ASSERT(fits_at(t, q, p));
   RESCHED_REQUIRE(t >= 0 && q >= 1 && p > 0);
-  if (retain_accepted_) {
-    push_frame(t, q, p, /*accepted=*/true);
+  if (recording_) {
+    push_frame(t, q, p);
     return;
   }
   profile_.add(t, checked_add(t, p), -q);
-  ++permanent_mutations_;
-}
-
-FreeProfile::CommitToken FreeProfile::commit_tentative(Time t, ProcCount q,
-                                                       Time p) {
-  RESCHED_ASSERT(fits_at(t, q, p));
-  RESCHED_REQUIRE(t >= 0 && q >= 1 && p > 0);
-  push_frame(t, q, p, /*accepted=*/false);
-  return CommitToken(next_serial_);
-}
-
-void FreeProfile::resolve_top(bool keep) {
-  OpenCommit& top = open_.back();
-  if (!keep) profile_.rollback(top.undo);
-  // Adaptive cap: a rewind of the deepest plan ever carried recycles every
-  // frame; anything past that depth would be dead weight.
-  if (frame_pool_.size() < std::max(kMinPoolFrames, open_high_water_))
-    frame_pool_.push_back(std::move(top));
-  open_.pop_back();
-}
-
-void FreeProfile::rollback(CommitToken&& token) {
-  RESCHED_CHECK_MSG(token.live_, "rollback of a dead commit token");
-  RESCHED_CHECK_MSG(!open_.empty() && open_.back().serial == token.serial_,
-                    "commit tokens resolve newest-first: this token is not "
-                    "the newest open tentative commit");
-  token.live_ = false;
-  resolve_top(/*keep=*/false);
-}
-
-void FreeProfile::accept(CommitToken&& token) {
-  RESCHED_CHECK_MSG(token.live_, "accept of a dead commit token");
-  RESCHED_CHECK_MSG(!open_.empty() && open_.back().serial == token.serial_,
-                    "commit tokens resolve newest-first: this token is not "
-                    "the newest open tentative commit");
-  token.live_ = false;
-  if (retain_accepted_) {
-    // Plan-recording mode: seal the decision but keep the frame (and its
-    // undo) so rewind_to can invalidate the whole plan suffix later.
-    open_.back().accepted = true;
-    return;
-  }
-  resolve_top(/*keep=*/true);
   ++permanent_mutations_;
 }
 
@@ -151,41 +109,31 @@ void FreeProfile::rewind_to(const Checkpoint& checkpoint) {
   RESCHED_CHECK_MSG(
       permanent_mutations_ == checkpoint.permanent,
       "rewind_to across a permanent capacity mutation: the checkpoint "
-      "predates an adjust_capacity / unretained commit / compact_history");
+      "predates an adjust_capacity / unrecorded commit / compact_history");
   RESCHED_CHECK_MSG(
-      open_.size() >= checkpoint.depth && next_serial_ >= checkpoint.serial,
+      frames_.size() >= checkpoint.depth && next_serial_ >= checkpoint.serial,
       "rewind_to target is ahead of this profile's state");
-  while (open_.size() > checkpoint.depth) {
-    RESCHED_CHECK_MSG(open_.back().serial > checkpoint.serial,
-                      "frame stack does not match the rewind checkpoint");
-    resolve_top(/*keep=*/false);
-  }
+  // Serials grow up the stack, so two frames vouch for the whole stack: the
+  // one just below the checkpoint depth must predate the checkpoint (it was
+  // not rewound and replaced since), and the oldest one to unwind must not.
+  RESCHED_CHECK_MSG(
+      (checkpoint.depth == 0 ||
+       frames_[checkpoint.depth - 1].serial <= checkpoint.serial) &&
+          (frames_.size() == checkpoint.depth ||
+           frames_[checkpoint.depth].serial > checkpoint.serial),
+      "frame stack does not match the rewind checkpoint");
+  while (frames_.size() > checkpoint.depth) pop_frame();
 }
 
-std::vector<FreeProfile::PlanStep> FreeProfile::plan_since(
-    const Checkpoint& checkpoint) const {
-  RESCHED_CHECK_MSG(open_.size() >= checkpoint.depth,
-                    "plan_since checkpoint is ahead of this profile's state");
-  std::vector<PlanStep> steps;
-  steps.reserve(open_.size() - checkpoint.depth);
-  for (std::size_t i = checkpoint.depth; i < open_.size(); ++i) {
-    RESCHED_CHECK_MSG(open_[i].serial > checkpoint.serial,
-                      "frame stack does not match the plan_since checkpoint");
-    steps.push_back(
-        PlanStep{open_[i].t, open_[i].q, open_[i].p, open_[i].accepted});
-  }
-  return steps;
-}
-
-void FreeProfile::set_retain_accepted(bool on) {
-  RESCHED_REQUIRE_MSG(open_.empty(),
-                      "toggling plan recording with open frames");
-  retain_accepted_ = on;
+void FreeProfile::set_recording(bool on) {
+  RESCHED_REQUIRE_MSG(frames_.empty(),
+                      "toggling frame recording with open frames");
+  recording_ = on;
 }
 
 void FreeProfile::adjust_capacity(Time from, Time to, std::int64_t delta) {
   RESCHED_REQUIRE(from >= 0 && to > from);
-  RESCHED_CHECK_MSG(open_.empty(),
+  RESCHED_CHECK_MSG(frames_.empty(),
                     "adjust_capacity with open plan frames: rewind first");
   if (delta == 0) return;
   if (delta < 0)
@@ -197,29 +145,11 @@ void FreeProfile::adjust_capacity(Time from, Time to, std::int64_t delta) {
 }
 
 std::size_t FreeProfile::compact_history(Time t) {
-  RESCHED_CHECK_MSG(open_.empty(),
+  RESCHED_CHECK_MSG(frames_.empty(),
                     "compact_history with open plan frames: rewind first");
   const std::size_t removed = profile_.compact_before(t);
   if (removed > 0) ++permanent_mutations_;
   return removed;
-}
-
-void FreeProfile::uncommit(Time t, ProcCount q, Time p) {
-  RESCHED_REQUIRE(t >= 0 && q >= 1 && p > 0);
-  // Checked wrapper over the undo log: an uncommit that does not reverse
-  // the newest open tentative commit would add capacity that was never
-  // allocated -- silently lifting the profile above the instance's
-  // availability. Fail loudly instead.
-  RESCHED_CHECK_MSG(!open_.empty(),
-                    "uncommit with no open tentative commit to reverse");
-  const OpenCommit& top = open_.back();
-  RESCHED_CHECK_MSG(!top.accepted,
-                    "uncommit would reverse an accepted plan decision; only "
-                    "rewind_to may unwind those");
-  RESCHED_CHECK_MSG(
-      top.t == t && top.q == q && top.p == p,
-      "uncommit(t, q, p) does not match the newest open tentative commit");
-  resolve_top(/*keep=*/false);
 }
 
 Time FreeProfile::next_change_after(Time t) const {

@@ -19,61 +19,42 @@
 // scheduler that re-examines its queue at capacity-increase events (job
 // completions, reservation ends) never misses a feasible start.
 //
-// ## Tentative commits (transactional allocation)
-//
-// Backfilling's inner loop is speculative: commit a candidate, test whether
-// a protected job is pushed back, revert if so; branch-and-bound backtracks
-// the same way. commit_tentative() makes that pattern first-class: it
-// subtracts the job and returns an opaque CommitToken whose undo record
-// (StepProfile's undo log) reverts the allocation in O(touched segments) --
-// no re-run of add's split/coalesce path, no index-snapshot drop, no budget
-// drain, so arbitrarily long probe loops never trigger an O(s) index
-// rebuild. A token must be resolved exactly once, newest-first:
-//
-//   rollback(token)  -- revert the allocation,
-//   accept(token)    -- keep it, discarding the undo state in O(1).
-//
-// Tokens are strictly nested (LIFO), which is exactly the shape tentative
-// probes and depth-first backtracking produce; resolving any other token
-// trips RESCHED_CHECK. The legacy uncommit(t, q, p) remains as a checked
-// wrapper: it must name exactly the newest open tentative commit, which it
-// then rolls back. An uncommit that does not reverse a live commit used to
-// silently inflate free capacity above the instance's availability --
-// the classic backfilling state-corruption bug -- and now fails loudly.
-//
 // Complexity: fits_at and each earliest_fit probe are O(log s) on fragmented
 // profiles through StepProfile's lazily built min/max segment-tree index;
 // earliest_fit leaps over whole runs of deficient segments per iteration
 // (first_at_least), so placements no longer rescan the profile linearly.
 //
-// ## Versioned plans (checkpoint / rewind -- the incremental-replan substrate)
+// ## Recorded frames (checkpoint / rewind)
 //
-// A resident service re-plans on every arrival/completion event. Rebuilding
-// the capacity profile from scratch per decision is the dominant cost; the
-// alternative is to keep ONE long-lived FreeProfile (absolute time) and let
-// each plan run directly on it, then unwind the plan's speculative
-// allocations before the next event. Three pieces make that safe:
+// Every way a caller takes back an allocation goes through one mechanism:
+// recorded frames over StepProfile's undo log, unwound only by rewind_to.
+// Two callers need it. A resident service re-plans its queue on every
+// event on ONE long-lived, absolute-time FreeProfile and must unwind each
+// plan before the next event. Branch and bound places a job per DFS level
+// and must unwind each placement on backtrack.
 //
-//   checkpoint()            -- O(1) snapshot of the plan frontier: the frame
-//                              stack depth, the commit serial and the
-//                              underlying StepProfile::version().
-//   set_retain_accepted(on) -- plan-recording mode: commit/commit_fitted
-//                              open a recorded frame instead of mutating
-//                              unrecorded, and accept() keeps its frame (undo
-//                              intact) instead of discarding it. Every
-//                              mutation a scheduler makes while planning is
-//                              therefore on the frame stack.
-//   rewind_to(checkpoint)   -- rolls the frame stack back to the checkpoint
-//                              depth, newest-first, in O(touched) per frame
-//                              with the query index kept warm (invariant I6
-//                              in step_profile.hpp): the whole plan suffix is
-//                              invalidated without an O(s) rebuild. Verifies
-//                              through the profile version that nothing but
-//                              frames mutated since the checkpoint.
+//   set_recording(on)       -- while on, commit/commit_fitted open a
+//                              recorded frame (the allocation plus its undo
+//                              record) instead of mutating unrecorded. Batch
+//                              schedulers run unrecorded; the service loop
+//                              and branch and bound record.
+//   checkpoint()            -- O(1) snapshot of the frame-stack depth, the
+//                              frame serial and the permanent-mutation
+//                              count.
+//   rewind_to(checkpoint)   -- unwinds every frame opened since the
+//                              checkpoint, newest-first, in O(touched) per
+//                              frame with the query index kept warm
+//                              (invariant I6 in step_profile.hpp), so
+//                              arbitrarily long commit/rewind loops never
+//                              trigger an O(s) index rebuild. Checkpoints
+//                              nest: a DFS takes one per branch, a service
+//                              one per plan.
 //
-// plan_since(checkpoint) reads the delta between the checkpoint's version
-// and now as the ordered list of (t, q, p) allocations -- the decisions a
-// repair loop inspects to find the committed head of a plan.
+// Frames are released only by rewinding to a checkpoint, never by naming
+// an allocation, so there is no way to hand back capacity that was never
+// allocated (the classic backfilling state-corruption bug): a rewind either
+// restores the checkpoint's state bit for bit or trips RESCHED_CHECK with
+// the profile unchanged.
 //
 // Permanent world changes (a job actually starting, churn: cancellations
 // freeing capacity, availability drops, reservation moves) go through
@@ -92,38 +73,6 @@ namespace resched {
 
 class FreeProfile {
  public:
-  // Opaque handle to one open tentative commit. Move-only; a
-  // default-constructed or resolved token is dead. Every live token must be
-  // resolved (rollback or accept) before any older token -- destroying one
-  // unresolved leaves its undo frame open and the next resolution will
-  // trip the LIFO check.
-  class CommitToken {
-   public:
-    CommitToken() = default;
-    CommitToken(CommitToken&& other) noexcept
-        : serial_(other.serial_), live_(other.live_) {
-      other.live_ = false;
-    }
-    CommitToken& operator=(CommitToken&& other) noexcept {
-      serial_ = other.serial_;
-      live_ = other.live_;
-      other.live_ = false;
-      return *this;
-    }
-    CommitToken(const CommitToken&) = delete;
-    CommitToken& operator=(const CommitToken&) = delete;
-    ~CommitToken() = default;
-
-    [[nodiscard]] bool live() const noexcept { return live_; }
-
-   private:
-    friend class FreeProfile;
-    explicit CommitToken(std::uint64_t serial) noexcept
-        : serial_(serial), live_(true) {}
-    std::uint64_t serial_ = 0;
-    bool live_ = false;
-  };
-
   // View over an explicit capacity profile (must be non-negative).
   explicit FreeProfile(StepProfile free_capacity);
 
@@ -151,64 +100,31 @@ class FreeProfile {
   // by Schedule::validate and the campaign oracle.
   void commit_fitted(Time t, ProcCount q, Time p);
 
-  // Tentatively subtracts q over [t, t+p) and opens an undo frame; the
-  // returned token resolves it via rollback() or accept(). Same
-  // by-construction precondition (and Debug-only recheck) as
-  // commit_fitted. O(touched) to record; the frame's buffers are recycled
-  // across probes, so a reject/retry loop stops allocating after warm-up.
-  [[nodiscard]] CommitToken commit_tentative(Time t, ProcCount q, Time p);
-
-  // Reverts the newest open tentative commit, which must be the one the
-  // token names (RESCHED_CHECK otherwise). O(touched segments); never
-  // drops or rebuilds the profile's query index (invariant I6 in
-  // step_profile.hpp).
-  void rollback(CommitToken&& token);
-
-  // Seals the newest open tentative commit (same LIFO check): the
-  // allocation becomes permanent and its undo state is discarded in O(1).
-  void accept(CommitToken&& token);
-
   // O(1) snapshot of the plan frontier; see the header notes. A checkpoint
   // taken on one FreeProfile must only be passed back to that object.
   struct Checkpoint {
-    std::uint64_t serial = 0;    // next commit serial at checkpoint time
+    std::uint64_t serial = 0;    // serial of the newest frame ever opened
     std::size_t depth = 0;       // frame-stack depth at checkpoint time
-    std::uint64_t version = 0;   // StepProfile::version() at checkpoint time
     std::uint64_t permanent = 0; // permanent mutations seen at checkpoint time
   };
   [[nodiscard]] Checkpoint checkpoint() const noexcept {
-    return Checkpoint{next_serial_, open_.size(), profile_.version(),
-                      permanent_mutations_};
+    return Checkpoint{next_serial_, frames_.size(), permanent_mutations_};
   }
 
-  // Rolls the frame stack back to the checkpoint's depth, newest-first
-  // (accepted-retained frames included), leaving the profile bit-identical
-  // to its checkpoint state with the query index warm. Trips RESCHED_CHECK
-  // if any permanent mutation (adjust_capacity, non-retained commit,
+  // Rolls the frame stack back to the checkpoint's depth, newest-first,
+  // leaving the profile bit-identical to its checkpoint state with the
+  // query index warm. Trips RESCHED_CHECK, with the profile unchanged, if
+  // any permanent mutation (adjust_capacity, unrecorded commit,
   // compact_history) happened since the checkpoint -- those cannot be
-  // rewound -- or if the stack is already below the checkpoint depth.
+  // rewound -- if the stack is already below the checkpoint depth, or if
+  // the frames around that depth do not match the checkpoint (a stale
+  // checkpoint whose frames were rewound and replaced, or one taken on
+  // another profile).
   void rewind_to(const Checkpoint& checkpoint);
 
-  // One allocation recorded on the frame stack since a checkpoint.
-  struct PlanStep {
-    Time t = 0;
-    ProcCount q = 0;
-    Time p = 0;
-    bool accepted = false;
-    friend bool operator==(const PlanStep&, const PlanStep&) = default;
-  };
-  // The delta between the checkpoint's version and now: every still-open
-  // frame recorded since, oldest first. O(frames since).
-  [[nodiscard]] std::vector<PlanStep> plan_since(
-      const Checkpoint& checkpoint) const;
-
-  // Plan-recording mode: while on, commit()/commit_fitted() open recorded
-  // frames and accept() retains its frame with the undo intact, so
-  // rewind_to can unwind a whole plan. Toggling requires an empty stack.
-  void set_retain_accepted(bool on);
-  [[nodiscard]] bool retain_accepted() const noexcept {
-    return retain_accepted_;
-  }
+  // While on, commit()/commit_fitted() open recorded frames that rewind_to
+  // can unwind. Toggling requires an empty stack.
+  void set_recording(bool on);
 
   // Permanent capacity mutation (a job starting for real; churn events:
   // cancellation refunds, availability drops, reservation moves). delta < 0
@@ -223,16 +139,9 @@ class FreeProfile {
   // stack. Returns the number of segments removed.
   std::size_t compact_history(Time t);
 
-  // Legacy inverse of commit_tentative, kept for callers that identify the
-  // allocation by value instead of by token: RESCHED_CHECKs that
-  // (t, q, p) is exactly the newest open tentative commit and rolls it
-  // back. With no open commit -- or mismatched arguments -- this trips
-  // instead of silently raising capacity above the availability.
-  void uncommit(Time t, ProcCount q, Time p);
-
-  // Number of open (unresolved) tentative commits.
-  [[nodiscard]] std::size_t open_commits() const noexcept {
-    return open_.size();
+  // Number of recorded frames not yet rewound.
+  [[nodiscard]] std::size_t frame_depth() const noexcept {
+    return frames_.size();
   }
 
   // Heap blocks attributable to this view: the segment store's spills plus
@@ -258,42 +167,35 @@ class FreeProfile {
   }
 
  private:
-  // One open tentative commit: identity for the checked wrappers plus the
-  // undo record that reverts it. `accepted` marks a frame accept() retained
-  // in plan-recording mode: sealed as a decision, still rewindable.
-  struct OpenCommit {
+  // One recorded commit: the undo record that reverts it, and the serial
+  // rewind_to matches against its checkpoint.
+  struct Frame {
     std::uint64_t serial = 0;
-    Time t = 0;
-    ProcCount q = 0;
-    Time p = 0;
-    bool accepted = false;
     StepProfile::Undo undo;
   };
 
-  // Pops the top frame (rolling the profile back unless `keep`), recycling
-  // its undo buffer.
-  void resolve_top(bool keep);
-  // Opens a recorded frame for a validated allocation; shared by
-  // commit_tentative and the retain-mode permanent commits.
-  void push_frame(Time t, ProcCount q, Time p, bool accepted);
+  // Opens a recorded frame for a validated allocation.
+  void push_frame(Time t, ProcCount q, Time p);
+  // Reverts the top frame and recycles its undo buffer.
+  void pop_frame();
 
   StepProfile profile_;
-  std::vector<OpenCommit> open_;
-  // Retired frames, kept whole (undo buffer included) so probe loops and
-  // plan/rewind cycles stop allocating once warm. Capped adaptively at
-  // max(kMinPoolFrames, peak open-stack depth): a full rewind of the
-  // deepest plan this profile has ever carried can recycle every frame,
-  // while a shallow prober never hoards more than a handful.
-  std::vector<OpenCommit> frame_pool_;
-  // High-water mark of open_.size(); sets the pool cap.
-  std::size_t open_high_water_ = 0;
+  std::vector<Frame> frames_;
+  // Retired frames, kept whole (undo buffer included) so commit/rewind
+  // cycles stop allocating once warm. Capped adaptively at
+  // max(kMinPoolFrames, peak stack depth): a full rewind of the deepest
+  // plan this profile has ever carried can recycle every frame, while a
+  // shallow search never hoards more than a handful.
+  std::vector<Frame> frame_pool_;
+  // High-water mark of frames_.size(); sets the pool cap.
+  std::size_t frames_high_water_ = 0;
   // push_frame pool misses (see frame_misses()).
   std::uint64_t frame_misses_ = 0;
   std::uint64_t next_serial_ = 0;
-  // Count of non-rewindable mutations (adjust_capacity, non-retained
+  // Count of non-rewindable mutations (adjust_capacity, unrecorded
   // commits, compact_history); rewind_to refuses to cross one.
   std::uint64_t permanent_mutations_ = 0;
-  bool retain_accepted_ = false;
+  bool recording_ = false;
 };
 
 }  // namespace resched

@@ -144,7 +144,6 @@ void StepProfile::add_impl(Time from, Time to, std::int64_t delta,
   } else {
     (void)index_apply_add(from, to, delta);
   }
-  ++version_;
 }
 
 void StepProfile::rollback(Undo& undo) {
@@ -211,7 +210,6 @@ void StepProfile::rollback(Undo& undo) {
   // array (SegStore::replace_range), never add's probe/split/coalesce path.
   steps_.replace_range(lo, hi, prior);
   index_rollback_patch(undo);
-  ++version_;
 }
 
 std::size_t StepProfile::compact_before(Time t) {
@@ -224,7 +222,6 @@ std::size_t StepProfile::compact_before(Time t) {
   steps_.erase(0, i);
   steps_.set_start(0, 0);
   drop_index();
-  ++version_;
   return i;
 }
 
@@ -1000,13 +997,6 @@ bool StepProfile::is_non_increasing() const noexcept {
   const std::int64_t* values = steps_.values_data();
   for (std::size_t i = 1; i < steps_.size(); ++i)
     if (values[i] > values[i - 1]) return false;
-  return true;
-}
-
-bool StepProfile::is_non_decreasing() const noexcept {
-  const std::int64_t* values = steps_.values_data();
-  for (std::size_t i = 1; i < steps_.size(); ++i)
-    if (values[i] < values[i - 1]) return false;
   return true;
 }
 

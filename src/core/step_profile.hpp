@@ -90,12 +90,12 @@
 // reversing that mutation (a stale or out-of-order rollback trips
 // RESCHED_CHECK instead of silently corrupting the function), and
 // inverse-patches the index snapshot without consuming budget, refunding the
-// unit the recorded add spent. A tentative probe sequence (add_recorded ->
+// unit the recorded add spent. A recorded sequence (add_recorded ->
 // queries -> rollback) is therefore structurally net-zero: no budget drain,
-// no index drop, no O(s) rebuild -- the backfilling schedulers' tentative
-// commit/uncommit loops run entirely on warm snapshots. Undo records unwind
-// newest-first (strict nesting, the shape backtracking search and tentative
-// probes produce). Records whose *checked state* -- the closed region
+// no index drop, no O(s) rebuild -- FreeProfile's commit/rewind frames (plan
+// rewinds, branch-and-bound backtracking) run entirely on warm snapshots.
+// Undo records unwind newest-first (strict nesting, the shape backtracking
+// search and plan rewinds produce). Records whose *checked state* -- the closed region
 // [window_lo, to] plus the value of the step immediately left of it -- was
 // not touched by any still-live later mutation may also unwind out of
 // order; anything else trips the rollback check. Note the checked state is
@@ -136,14 +136,12 @@ class StepProfile {
   StepProfile& operator=(const StepProfile& other) {
     steps_ = other.steps_;
     drop_index();
-    ++version_;
     return *this;
   }
   StepProfile(StepProfile&& other) noexcept
       : steps_(std::move(other.steps_)),
         index_(other.index_.exchange(nullptr, std::memory_order_relaxed)),
-        index_builds_(other.index_builds_.load(std::memory_order_relaxed)),
-        version_(other.version_) {}
+        index_builds_(other.index_builds_.load(std::memory_order_relaxed)) {}
   StepProfile& operator=(StepProfile&& other) noexcept {
     if (this != &other) {
       steps_ = std::move(other.steps_);
@@ -152,7 +150,6 @@ class StepProfile {
           std::memory_order_relaxed);
       index_builds_.store(other.index_builds_.load(std::memory_order_relaxed),
                           std::memory_order_relaxed);
-      version_ = other.version_;
     }
     return *this;
   }
@@ -219,7 +216,7 @@ class StepProfile {
   void rollback(Undo& undo);
 
   // Number of full O(s) index builds this profile has performed (diagnostic
-  // for tests/benches; tentative probe loops must keep this flat). Copies
+  // for tests/benches; commit/rewind loops must keep this flat). Copies
   // start at zero, moves carry the count.
   [[nodiscard]] std::uint64_t index_build_count() const noexcept {
     return index_builds_.load(std::memory_order_relaxed);
@@ -232,15 +229,6 @@ class StepProfile {
   [[nodiscard]] std::uint64_t alloc_count() const noexcept {
     return steps_.alloc_count();
   }
-
-  // Monotone mutation version: incremented by every successful state change
-  // (add, add_recorded, rollback, compact_before, copy assignment). The O(1)
-  // checkpoint primitive of the incremental-replan layer: two equal versions
-  // of one live object guarantee no mutation happened in between, so a
-  // caller holding a version can tell whether its derived state (plans,
-  // deltas, caches) is still current without comparing segments. Copies
-  // start at zero (a copy is a new history); moves carry the version.
-  [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
   // Collapses every segment boundary strictly before t into one leading
   // segment carrying value_at(t); the function on [t, +inf) is unchanged,
@@ -286,9 +274,8 @@ class StepProfile {
   // values are expanded exactly instead of trusting their range sum.
   [[nodiscard]] Time time_to_accumulate(Time from, std::int64_t target) const;
 
-  // True if the function never increases / never decreases over [0, +inf).
+  // True if the function never increases over [0, +inf).
   [[nodiscard]] bool is_non_increasing() const noexcept;
-  [[nodiscard]] bool is_non_decreasing() const noexcept;
 
   [[nodiscard]] std::int64_t min_value() const noexcept;
   [[nodiscard]] std::int64_t max_value() const noexcept;
@@ -358,9 +345,6 @@ class StepProfile {
   // Diagnostic only (never compared, never part of function equality):
   // counts build_index runs, including builds a racing reader discarded.
   mutable std::atomic<std::uint64_t> index_builds_{0};
-  // Mutation version (see version()). Plain integer: every increment site
-  // requires exclusive access to the profile already.
-  std::uint64_t version_ = 0;
 
   void drop_index() noexcept {
     delete index_.exchange(nullptr, std::memory_order_relaxed);

@@ -125,12 +125,11 @@ void dfs(SearchState& state) {
     const Time completion = checked_add(start, job.p);
     if (completion >= state.best) continue;  // placing it can't improve
 
-    // Tentative commit: the undo token reverts the placement in O(touched)
-    // on backtrack, without the index churn (and silent-mismatch risk) of
-    // the old blind uncommit. Tokens nest with the DFS, so the LIFO
-    // discipline holds by construction.
-    FreeProfile::CommitToken token =
-        state.free.commit_tentative(start, job.q, job.p);
+    // Recorded commit: rewinding to the branch's checkpoint reverts the
+    // placement in O(touched) on backtrack with the query index kept warm.
+    // Checkpoints nest with the DFS.
+    const FreeProfile::Checkpoint branch = state.free.checkpoint();
+    state.free.commit_fitted(start, job.q, job.p);
     state.placed[static_cast<std::size_t>(id)] = true;
     state.starts[static_cast<std::size_t>(id)] = start;
     const Time saved_makespan = state.current_makespan;
@@ -140,7 +139,7 @@ void dfs(SearchState& state) {
 
     state.current_makespan = saved_makespan;
     state.placed[static_cast<std::size_t>(id)] = false;
-    state.free.rollback(std::move(token));
+    state.free.rewind_to(branch);
     if (state.aborted) break;
   }
   state.scratch.rewind(frame);
@@ -159,6 +158,7 @@ BnbResult branch_and_bound(const Instance& instance,
   SearchState state;
   state.instance = &instance;
   state.free = FreeProfile::for_instance(instance);
+  state.free.set_recording(true);
   state.placed.assign(instance.n(), false);
   state.starts.assign(instance.n(), 0);
   state.node_limit = options.node_limit;
@@ -169,10 +169,11 @@ BnbResult branch_and_bound(const Instance& instance,
 
   result.nodes = state.nodes;
   result.proven = !state.aborted;
-  if (state.best >= kTimeInfinity) {
-    // Exhausted the node limit before completing even one schedule (or an
-    // upper-bound hint below the true optimum excluded everything): report
-    // an unproven empty result rather than a bogus optimum.
+  if (state.best_starts.empty()) {
+    // No schedule recorded: the node limit stopped the search before it
+    // completed one that beats the bound, or an upper-bound hint below the
+    // true optimum excluded everything. Report an unproven empty result
+    // rather than a bogus optimum.
     RESCHED_CHECK_MSG(!result.proven || options.upper_bound_hint > 0,
                       "complete search found no schedule for a feasible "
                       "instance");

@@ -69,7 +69,7 @@ class ServiceLoop {
     gen_.set_rate(rate);
     result_.offered_rate = rate;
     jobs_.reserve(config.phases.total());
-    if (maintain_profile_) free_.set_retain_accepted(true);
+    if (maintain_profile_) free_.set_recording(true);
     if (config.churn.enabled())
       churn_.emplace(config.churn, seed ^ kChurnSeedSalt);
   }
@@ -422,7 +422,7 @@ class ServiceLoop {
   void drop_retained() {
     if (!retained_live_) return;
     result_.plan_frames_rewound +=
-        free_.open_commits() - retained_plan_.base.depth;
+        free_.frame_depth() - retained_plan_.base.depth;
     free_.rewind_to(retained_plan_.base);
     retained_live_ = false;
     retained_plan_.starts.clear();  // capacity survives for the next plan

@@ -42,12 +42,12 @@ TEST(Arena, AllocationsAreAlignedAndDisjoint) {
 TEST(Arena, ResetKeepsChunksSoSteadyStateIsAllocationFree) {
   Arena arena;
   // Warm: force at least one chunk into existence.
-  for (int i = 0; i < 100; ++i) arena.allocate(64, 8);
+  for (int i = 0; i < 100; ++i) (void)arena.allocate(64, 8);
   const std::size_t chunks = arena.chunk_count();
   const std::uint64_t warm = alloc_count();
   for (int cycle = 0; cycle < 50; ++cycle) {
     arena.reset();
-    for (int i = 0; i < 100; ++i) arena.allocate(64, 8);
+    for (int i = 0; i < 100; ++i) (void)arena.allocate(64, 8);
   }
   EXPECT_EQ(alloc_count(), warm) << "reset+refill must reuse warm chunks";
   EXPECT_EQ(arena.chunk_count(), chunks);
@@ -55,10 +55,10 @@ TEST(Arena, ResetKeepsChunksSoSteadyStateIsAllocationFree) {
 
 TEST(Arena, MarkerRewindReleasesLifoScopes) {
   Arena arena;
-  arena.allocate(128, 8);
+  (void)arena.allocate(128, 8);
   const Arena::Marker frame = arena.mark();
   void* inner_first = arena.allocate(64, 8);
-  arena.allocate(256, 8);
+  (void)arena.allocate(256, 8);
   arena.rewind(frame);
   // The next allocation after rewind lands where the frame started.
   void* replay = arena.allocate(64, 8);
@@ -182,53 +182,54 @@ TEST(SegStore, CopyAndMoveSemantics) {
 
 // ---- FreeProfile frame pool ------------------------------------------------
 
-TEST(FramePool, SteadyStateCommitRollbackIsAllocationFree) {
+TEST(FramePool, SteadyStateCommitRewindIsAllocationFree) {
   FreeProfile free{StepProfile(64)};
+  free.set_recording(true);
+  // One checkpoint per commit, rewound newest-first: the branch-and-bound
+  // shape. The checkpoint buffer is reserved up front so the test's own
+  // bookkeeping does not pollute the count.
+  std::vector<FreeProfile::Checkpoint> marks;
+  marks.reserve(16);
+  const auto cycle = [&] {
+    for (Time t = 0; t < 16; ++t) {
+      marks.push_back(free.checkpoint());
+      free.commit_fitted(t * 3, 2, 5);
+    }
+    while (!marks.empty()) {
+      free.rewind_to(marks.back());
+      marks.pop_back();
+    }
+  };
   // Warm-up: grow the profile store, the frame pool and every undo buffer
   // to its high-water capacity.
-  for (int cycle = 0; cycle < 4; ++cycle) {
-    std::vector<FreeProfile::CommitToken> tokens;
-    for (Time t = 0; t < 16; ++t)
-      tokens.push_back(free.commit_tentative(t * 3, 2, 5));
-    while (!tokens.empty()) {
-      free.rollback(std::move(tokens.back()));
-      tokens.pop_back();
-    }
-  }
-  std::vector<FreeProfile::CommitToken> tokens;
-  tokens.reserve(16);  // the probe's own buffer must not pollute the count
+  for (int warmup = 0; warmup < 4; ++warmup) cycle();
   const std::uint64_t warm = alloc_count();
   const std::uint64_t warm_misses = free.frame_misses();
-  for (int cycle = 0; cycle < 100; ++cycle) {
-    for (Time t = 0; t < 16; ++t)
-      tokens.push_back(free.commit_tentative(t * 3, 2, 5));
-    while (!tokens.empty()) {
-      free.rollback(std::move(tokens.back()));
-      tokens.pop_back();
-    }
-  }
+  for (int round = 0; round < 100; ++round) cycle();
   EXPECT_EQ(free.frame_misses(), warm_misses)
       << "warm frame pool must recycle every frame";
   EXPECT_EQ(alloc_count(), warm)
-      << "steady-state commit/rollback must be zero-allocation";
+      << "steady-state commit/rewind must be zero-allocation";
 }
 
-TEST(FramePool, RecyclesAcrossCommitRollbackInterleavings) {
+TEST(FramePool, RecyclesAcrossNestedAndMultiFrameRewinds) {
   FreeProfile free{StepProfile(32)};
-  // Interleave accepts and rollbacks so recycled frames carry undos from
-  // both resolutions; the profile must stay consistent throughout.
+  free.set_recording(true);
+  // Interleave single-frame and multi-frame rewinds so recycled frames
+  // carry undos of different widths; the profile must stay consistent
+  // throughout.
   for (int round = 0; round < 50; ++round) {
-    FreeProfile::CommitToken a = free.commit_tentative(round * 7, 4, 10);
-    FreeProfile::CommitToken b =
-        free.commit_tentative(round * 7 + 2, 8, 5);
-    free.rollback(std::move(b));
-    FreeProfile::CommitToken c =
-        free.commit_tentative(round * 7 + 1, 2, 3);
-    free.rollback(std::move(c));
-    free.rollback(std::move(a));
+    const FreeProfile::Checkpoint outer = free.checkpoint();
+    free.commit_fitted(round * 7, 4, 10);
+    const FreeProfile::Checkpoint inner = free.checkpoint();
+    free.commit_fitted(round * 7 + 2, 8, 5);
+    free.rewind_to(inner);
+    free.commit_fitted(round * 7 + 1, 2, 3);
+    free.commit_fitted(round * 7 + 3, 1, 2);
+    free.rewind_to(outer);
   }
-  EXPECT_EQ(free.open_commits(), 0u);
-  // Fully rolled back: the profile is flat free capacity again.
+  EXPECT_EQ(free.frame_depth(), 0u);
+  // Fully rewound: the profile is flat free capacity again.
   EXPECT_EQ(free.profile().min_in(0, 1000), 32);
   EXPECT_EQ(free.profile().max_in(0, 1000), 32);
 }
@@ -237,8 +238,8 @@ TEST(FramePool, AllocCountDiagnosticCombinesProfileAndMisses) {
   FreeProfile free{StepProfile(16)};
   EXPECT_EQ(free.alloc_count(), free.profile().alloc_count() +
                                     free.frame_misses());
-  FreeProfile::CommitToken t = free.commit_tentative(0, 4, 4);
-  free.accept(std::move(t));
+  free.set_recording(true);
+  free.commit_fitted(0, 4, 4);
   EXPECT_GE(free.frame_misses(), 1u) << "cold pool counts its misses";
   EXPECT_EQ(free.alloc_count(), free.profile().alloc_count() +
                                     free.frame_misses());

@@ -102,6 +102,64 @@ TEST(Bnb, UpperBoundHintDoesNotChangeResult) {
   EXPECT_EQ(optimal_makespan(instance, options), plain);
 }
 
+Instance pinned_workload(std::uint64_t seed) {
+  WorkloadConfig config;
+  config.n = 10;
+  config.m = 4;
+  config.p_max = 20;
+  return random_workload(config, seed);
+}
+
+TEST(Bnb, NodeLimitWithHintReportsUnprovenInsteadOfCrashing) {
+  // Regression: with a hint, the search starts from hint + 1 (below
+  // kTimeInfinity), so a node limit that stops it before it records any
+  // schedule used to read starts that were never recorded.
+  const Instance instance = pinned_workload(1);
+  BnbOptions options;
+  options.node_limit = 5;
+  options.upper_bound_hint =
+      LsrcScheduler().schedule(instance).value().makespan(instance);
+  ASSERT_EQ(options.upper_bound_hint, 51);
+  const BnbResult result = branch_and_bound(instance, options);
+  EXPECT_FALSE(result.proven);
+  EXPECT_EQ(result.optimal, 0);
+}
+
+TEST(Bnb, HintBelowOptimumReportsUnprovenInsteadOfCrashing) {
+  // A complete search that finds nothing at or below a hint under OPT has
+  // no schedule to report either.
+  const Instance instance = pinned_workload(1);
+  const Time opt = optimal_makespan(instance);
+  BnbOptions options;
+  options.upper_bound_hint = opt - 1;
+  const BnbResult result = branch_and_bound(instance, options);
+  EXPECT_FALSE(result.proven);
+  EXPECT_EQ(result.optimal, 0);
+  EXPECT_THROW((void)optimal_makespan(instance, options),
+               std::invalid_argument);
+}
+
+TEST(Bnb, PinnedNodeCountsAndOptima) {
+  // The search order, the pruning and the memoisation together fix the
+  // exact number of nodes explored; a refactor of the profile layer under
+  // the search must leave it unchanged.
+  struct Pin {
+    std::uint64_t seed;
+    std::uint64_t nodes;
+    Time optimal;
+  };
+  for (const Pin& pin : {Pin{1, 63, 51}, Pin{2, 11845, 36}, Pin{3, 1801, 45},
+                         Pin{4, 716, 18}, Pin{9, 2059, 28},
+                         Pin{12, 12999, 33}}) {
+    const Instance instance = pinned_workload(pin.seed);
+    const BnbResult result = branch_and_bound(instance);
+    ASSERT_TRUE(result.proven) << "seed " << pin.seed;
+    EXPECT_EQ(result.nodes, pin.nodes) << "seed " << pin.seed;
+    EXPECT_EQ(result.optimal, pin.optimal) << "seed " << pin.seed;
+    EXPECT_TRUE(result.schedule.validate(instance).ok) << "seed " << pin.seed;
+  }
+}
+
 // Exactness cross-check: on tiny instances, compare against exhaustive
 // enumeration of all start-time combinations up to a safe horizon.
 class BnbExhaustive : public ::testing::TestWithParam<std::uint64_t> {};

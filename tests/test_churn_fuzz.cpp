@@ -161,7 +161,7 @@ TEST(ReplanOracle, ReplanMatchesScheduleOnRandomLiveStates) {
 
       // Incremental: persistent absolute-time profile, plan recording on.
       FreeProfile free{capacity};
-      free.set_retain_accepted(true);
+      free.set_recording(true);
       const FreeProfile::Checkpoint before = free.checkpoint();
       const Schedule got =
           scheduler->replan(ReplanRequest{free, queue, wakeups, kM, now});

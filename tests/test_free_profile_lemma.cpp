@@ -7,10 +7,10 @@
 // capacity-increase events, so a counterexample here is a missed-start bug
 // in every list/backfilling algorithm at once.
 //
-// Also checks that tentative commits unwind to the bit-identical profile,
-// which is what branch-and-bound backtracking assumes. Undo is LIFO by
-// contract (tokens resolve newest-first); both the token rollback and the
-// checked legacy uncommit wrapper are exercised.
+// Also checks that recorded commits rewind to the bit-identical profile,
+// which is what branch-and-bound backtracking assumes. Frames unwind
+// newest-first; both one checkpoint per commit (the DFS shape) and a single
+// rewind over a whole batch (the service-plan shape) are exercised.
 #include "core/profile_allocator.hpp"
 
 #include <gtest/gtest.h>
@@ -77,24 +77,20 @@ TEST(FreeProfileLemma, EarliestFitReturnsT0OrCapacityIncreaseBreakpoint) {
   }
 }
 
-TEST(FreeProfileLemma, TentativeCommitsUnwindToIdenticalProfile) {
+TEST(FreeProfileLemma, RecordedCommitsRewindToIdenticalProfile) {
   Prng prng(9091);
   for (int round = 0; round < 120; ++round) {
     const ProcCount m = prng.uniform_int(2, 8);
     FreeProfile free(random_capacity(prng, m));
+    free.set_recording(true);
     const StepProfile snapshot = free.profile();
+    const FreeProfile::Checkpoint base = free.checkpoint();
 
-    // Stack a random batch of tentative commits at their earliest fits
-    // (exactly the branch-and-bound shape), then unwind newest-first; the
-    // profile must come back bit-identical. Alternate between the token
-    // rollback and the checked legacy uncommit wrapper.
-    struct Placed {
-      Time t;
-      ProcCount q;
-      Time p;
-      FreeProfile::CommitToken token;
-    };
-    std::vector<Placed> placed;
+    // Stack a random batch of recorded commits at their earliest fits
+    // (exactly the branch-and-bound shape), then unwind; the profile must
+    // come back bit-identical. Half the rounds rewind one checkpoint per
+    // commit, the other half rewind the whole batch at once.
+    std::vector<FreeProfile::Checkpoint> marks;
     const int jobs = static_cast<int>(prng.uniform_int(1, 10));
     for (int i = 0; i < jobs; ++i) {
       const ProcCount q = prng.uniform_int(1, m);
@@ -102,24 +98,24 @@ TEST(FreeProfileLemma, TentativeCommitsUnwindToIdenticalProfile) {
       const Time t0 = prng.uniform_int(0, kHorizon);
       if (free.profile().final_value() < q) continue;
       const Time t = free.earliest_fit(t0, q, p);
-      placed.push_back(Placed{t, q, p, free.commit_tentative(t, q, p)});
+      marks.push_back(free.checkpoint());
+      free.commit_fitted(t, q, p);
     }
     ASSERT_GE(free.profile().min_value(), 0)
         << "commit drove free capacity negative";
-    ASSERT_EQ(free.open_commits(), placed.size());
+    ASSERT_EQ(free.frame_depth(), marks.size());
 
-    while (!placed.empty()) {
-      Placed& job = placed.back();
-      if (prng.chance(0.5)) {
-        free.rollback(std::move(job.token));
-      } else {
-        free.uncommit(job.t, job.q, job.p);
+    if (prng.chance(0.5)) {
+      while (!marks.empty()) {
+        free.rewind_to(marks.back());
+        marks.pop_back();
       }
-      placed.pop_back();
+    } else {
+      free.rewind_to(base);
     }
-    ASSERT_EQ(free.open_commits(), 0u);
+    ASSERT_EQ(free.frame_depth(), 0u);
     ASSERT_EQ(free.profile(), snapshot)
-        << "tentative commits did not round-trip";
+        << "recorded commits did not round-trip";
   }
 }
 

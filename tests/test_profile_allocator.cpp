@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <utility>
 
 #include "core/availability.hpp"
 #include "util/prng.hpp"
@@ -71,75 +70,82 @@ TEST(FreeProfile, EarliestFitImpossibleWidthThrows) {
   EXPECT_THROW((void)free.earliest_fit(0, 3, 1), std::invalid_argument);
 }
 
-TEST(FreeProfile, TentativeCommitSubtractsAndUncommitRestores) {
+TEST(FreeProfile, RecordedCommitSubtractsAndRewindRestores) {
   FreeProfile free{StepProfile(4)};
-  FreeProfile::CommitToken token = free.commit_tentative(2, 3, 5);
-  EXPECT_TRUE(token.live());
-  EXPECT_EQ(free.open_commits(), 1u);
+  free.set_recording(true);
+  const FreeProfile::Checkpoint before = free.checkpoint();
+  free.commit_fitted(2, 3, 5);
+  EXPECT_EQ(free.frame_depth(), 1u);
   EXPECT_EQ(free.capacity_at(2), 1);
   EXPECT_EQ(free.capacity_at(6), 1);
   EXPECT_EQ(free.capacity_at(7), 4);
   EXPECT_FALSE(free.fits_at(0, 2, 5));
-  // The legacy wrapper reverses the newest open tentative commit.
-  free.uncommit(2, 3, 5);
+  free.rewind_to(before);
   EXPECT_EQ(free.capacity_at(2), 4);
-  EXPECT_EQ(free.open_commits(), 0u);
+  EXPECT_EQ(free.frame_depth(), 0u);
 }
 
-TEST(FreeProfile, RollbackAndAcceptResolveTokens) {
+TEST(FreeProfile, RewindKeepsFramesBelowTheCheckpoint) {
   FreeProfile free{StepProfile(4)};
-  FreeProfile::CommitToken kept = free.commit_tentative(0, 2, 10);
-  free.accept(std::move(kept));
-  EXPECT_FALSE(kept.live());  // NOLINT(bugprone-use-after-move): asserted dead
-  EXPECT_EQ(free.capacity_at(5), 2);
-  EXPECT_EQ(free.open_commits(), 0u);
-
-  FreeProfile::CommitToken probe = free.commit_tentative(3, 2, 4);
+  free.set_recording(true);
+  free.commit_fitted(0, 2, 10);
+  const FreeProfile::Checkpoint probe = free.checkpoint();
+  free.commit(3, 2, 4);
   EXPECT_EQ(free.capacity_at(4), 0);
-  free.rollback(std::move(probe));
+  free.rewind_to(probe);
   EXPECT_EQ(free.capacity_at(4), 2);
-  // The accepted commit stays in effect.
+  // The commit below the checkpoint stays in effect.
   EXPECT_EQ(free.capacity_at(9), 2);
   EXPECT_EQ(free.capacity_at(10), 4);
+  EXPECT_EQ(free.frame_depth(), 1u);
 }
 
-TEST(FreeProfile, MismatchedUncommitTripsInsteadOfInflatingCapacity) {
-  // Regression: uncommit with arguments that never were (or no longer are)
-  // a live commit used to blindly add capacity back, silently raising the
-  // profile above the instance's availability. It now must reverse the
-  // newest open tentative commit exactly, or trip RESCHED_CHECK.
+TEST(FreeProfile, UnrecordedCommitIsNotRevocable) {
+  // Regression guard for the classic backfilling corruption: handing back
+  // capacity that is not (or no longer) a revocable allocation would lift
+  // free capacity above the instance's availability. An unrecorded commit
+  // is permanent, so a rewind across it trips instead.
   FreeProfile free{StepProfile(4)};
-  // No open commit at all.
-  EXPECT_THROW(free.uncommit(2, 3, 5), std::logic_error);
-  EXPECT_EQ(free.capacity_at(2), 4) << "failed uncommit must not mutate";
-
-  FreeProfile::CommitToken token = free.commit_tentative(2, 3, 5);
-  // Wrong start / demand / duration each trip; profile stays committed.
-  EXPECT_THROW(free.uncommit(3, 3, 5), std::logic_error);
-  EXPECT_THROW(free.uncommit(2, 2, 5), std::logic_error);
-  EXPECT_THROW(free.uncommit(2, 3, 6), std::logic_error);
-  EXPECT_EQ(free.capacity_at(2), 1);
-  // A permanent commit is not revocable either.
-  free.accept(std::move(token));
-  EXPECT_THROW(free.uncommit(2, 3, 5), std::logic_error);
-  EXPECT_EQ(free.capacity_at(2), 1);
+  const FreeProfile::Checkpoint before = free.checkpoint();
+  free.commit(2, 3, 5);
+  EXPECT_THROW(free.rewind_to(before), std::logic_error);
+  EXPECT_EQ(free.capacity_at(2), 1) << "failed rewind must not mutate";
 }
 
-TEST(FreeProfile, TokensResolveNewestFirst) {
+TEST(FreeProfile, RewindChecksTheFrameStack) {
   FreeProfile free{StepProfile(8)};
-  FreeProfile::CommitToken first = free.commit_tentative(0, 2, 4);
-  FreeProfile::CommitToken second = free.commit_tentative(1, 3, 4);
-  // Resolving the older token out of order trips the LIFO check (and
-  // leaves it live: a failed resolve consumes nothing).
-  EXPECT_THROW(free.rollback(std::move(first)), std::logic_error);
-  EXPECT_THROW(free.accept(std::move(first)), std::logic_error);
-  EXPECT_TRUE(first.live());  // NOLINT(bugprone-use-after-move)
-  // Unwinding newest-first works.
-  free.rollback(std::move(second));
+  free.set_recording(true);
+  const FreeProfile::Checkpoint base = free.checkpoint();
+  free.commit_fitted(0, 2, 4);
+  const FreeProfile::Checkpoint one = free.checkpoint();
+  free.commit_fitted(1, 3, 4);
+  const FreeProfile::Checkpoint two = free.checkpoint();
+  free.rewind_to(one);
   EXPECT_EQ(free.capacity_at(2), 6);
-  EXPECT_EQ(free.open_commits(), 1u);
-  // A dead token cannot resolve anything.
-  EXPECT_THROW(free.rollback(std::move(second)), std::logic_error);
+  // A checkpoint deeper than the stack is ahead of the profile's state.
+  EXPECT_THROW(free.rewind_to(two), std::logic_error);
+  EXPECT_EQ(free.capacity_at(2), 6) << "failed rewind must not mutate";
+
+  // Stale checkpoint: the frame it sat on was rewound and replaced.
+  free.rewind_to(base);
+  free.commit_fitted(0, 1, 4);
+  free.commit_fitted(0, 1, 4);
+  EXPECT_THROW(free.rewind_to(one), std::logic_error);
+  EXPECT_EQ(free.capacity_at(2), 6) << "failed rewind must not mutate";
+  EXPECT_EQ(free.frame_depth(), 2u);
+
+  // Checkpoint of another profile whose serials ran ahead: the frames it
+  // would unwind here predate it.
+  FreeProfile other{StepProfile(8)};
+  other.set_recording(true);
+  const FreeProfile::Checkpoint other_base = other.checkpoint();
+  for (Time t = 0; t < 5; ++t) other.commit_fitted(t, 1, 1);
+  other.rewind_to(other_base);
+  EXPECT_THROW(free.rewind_to(other.checkpoint()), std::logic_error);
+  EXPECT_EQ(free.capacity_at(2), 6) << "failed rewind must not mutate";
+  // Unwinding to a matching checkpoint works.
+  free.rewind_to(base);
+  EXPECT_EQ(free.capacity_at(2), 8);
 }
 
 TEST(FreeProfile, CommitRequiresFit) {
@@ -148,16 +154,17 @@ TEST(FreeProfile, CommitRequiresFit) {
   EXPECT_THROW(free.commit(1, 1, 1), std::invalid_argument);
 }
 
-TEST(FreeProfile, TentativeProbeLoopNeverRebuildsTheIndex) {
-  // The acceptance criterion of the undo log: a tentative probe sequence
-  // (commit -> wide windowed probe -> rollback) leaves the query-index
-  // snapshot installed and its rebuild budget intact, so even far more
-  // pairs than the budget trigger zero further O(s) rebuilds. Before the
-  // undo log, each pair burned two budget units and the loop below would
-  // rebuild hundreds of times.
+TEST(FreeProfile, CommitRewindLoopNeverRebuildsTheIndex) {
+  // The acceptance criterion of the undo log: a commit -> wide windowed
+  // probe -> rewind sequence leaves the query-index snapshot installed and
+  // its rebuild budget intact, so even far more pairs than the budget
+  // trigger zero further O(s) rebuilds. Before the undo log, each pair
+  // burned two budget units and the loop below would rebuild hundreds of
+  // times.
   StepProfile capacity(64);
   for (Time t = 0; t < 6000; t += 10) capacity.add(t, t + 5, -(1 + (t / 10) % 3));
   FreeProfile free(capacity);
+  free.set_recording(true);
   ASSERT_GT(free.profile().segment_count(), 256u);
   // Warm the index with one wide probe.
   ASSERT_TRUE(free.fits_at(0, 1, 7000));
@@ -168,13 +175,15 @@ TEST(FreeProfile, TentativeProbeLoopNeverRebuildsTheIndex) {
     const ProcCount q = prng.uniform_int(1, 32);
     const Time p = prng.uniform_int(1, 200);
     if (!free.fits_at(t, q, p)) continue;
-    FreeProfile::CommitToken token = free.commit_tentative(t, q, p);
-    // Wide probe through the indexed descent (the head-reservation check).
+    const FreeProfile::Checkpoint before = free.checkpoint();
+    free.commit_fitted(t, q, p);
+    // Wide probe through the indexed descent.
     (void)free.fits_at(0, 1, 7000);
-    free.rollback(std::move(token));
+    free.rewind_to(before);
   }
   EXPECT_EQ(free.profile().index_build_count(), builds_after_warmup)
-      << "tentative probes must not drop or rebuild the index snapshot";
+      << "commit/rewind loops must not drop or rebuild the index snapshot";
+  EXPECT_EQ(free.profile(), capacity);
 }
 
 TEST(FreeProfile, ForInstanceUsesAvailability) {
@@ -230,20 +239,19 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EarliestFitRandomized,
 
 TEST(FreeProfileVersioned, CheckpointRewindRestoresPlanState) {
   FreeProfile free{StepProfile(8)};
-  free.set_retain_accepted(true);
+  free.set_recording(true);
   const FreeProfile::Checkpoint before = free.checkpoint();
 
-  // A plan in recording mode: permanent-API commits become frames too.
+  // A plan in recording mode: both commit entry points open frames.
   free.commit_fitted(0, 3, 10);
   free.commit(5, 2, 4);
-  FreeProfile::CommitToken probe = free.commit_tentative(12, 8, 2);
-  free.accept(std::move(probe));
-  EXPECT_EQ(free.open_commits(), 3u);
+  free.commit_fitted(12, 8, 2);
+  EXPECT_EQ(free.frame_depth(), 3u);
   EXPECT_EQ(free.capacity_at(6), 3);
   EXPECT_EQ(free.capacity_at(12), 0);
 
   free.rewind_to(before);
-  EXPECT_EQ(free.open_commits(), 0u);
+  EXPECT_EQ(free.frame_depth(), 0u);
   EXPECT_EQ(free.capacity_at(0), 8);
   EXPECT_EQ(free.capacity_at(6), 8);
   EXPECT_EQ(free.capacity_at(12), 8);
@@ -253,59 +261,33 @@ TEST(FreeProfileVersioned, CheckpointRewindRestoresPlanState) {
 
 TEST(FreeProfileVersioned, RewindToMidPlanCheckpointUnwindsOnlyTheSuffix) {
   FreeProfile free{StepProfile(8)};
-  free.set_retain_accepted(true);
+  free.set_recording(true);
   free.commit_fitted(0, 2, 10);
   const FreeProfile::Checkpoint mid = free.checkpoint();
   free.commit_fitted(0, 4, 5);
   EXPECT_EQ(free.capacity_at(0), 2);
   free.rewind_to(mid);
   EXPECT_EQ(free.capacity_at(0), 6) << "prefix frame must survive";
-  EXPECT_EQ(free.open_commits(), 1u);
+  EXPECT_EQ(free.frame_depth(), 1u);
 }
 
-TEST(FreeProfileVersioned, PlanSinceListsTheRecordedDecisions) {
-  FreeProfile free{StepProfile(8)};
-  free.set_retain_accepted(true);
+TEST(FreeProfileVersioned, ToggleRecordingRequiresEmptyStack) {
+  FreeProfile free{StepProfile(4)};
+  free.set_recording(true);
   const FreeProfile::Checkpoint before = free.checkpoint();
-  free.commit_fitted(0, 3, 10);
-  FreeProfile::CommitToken probe = free.commit_tentative(10, 2, 4);
-  free.accept(std::move(probe));
-  FreeProfile::CommitToken open = free.commit_tentative(20, 1, 1);
-
-  const std::vector<FreeProfile::PlanStep> plan = free.plan_since(before);
-  ASSERT_EQ(plan.size(), 3u);
-  EXPECT_EQ(plan[0], (FreeProfile::PlanStep{0, 3, 10, true}));
-  EXPECT_EQ(plan[1], (FreeProfile::PlanStep{10, 2, 4, true}));
-  EXPECT_EQ(plan[2], (FreeProfile::PlanStep{20, 1, 1, false}));
-  free.rollback(std::move(open));
-  EXPECT_EQ(free.plan_since(before).size(), 2u);
+  free.commit_fitted(0, 1, 1);
+  EXPECT_THROW(free.set_recording(false), std::invalid_argument);
   free.rewind_to(before);
-  EXPECT_TRUE(free.plan_since(before).empty());
-}
-
-TEST(FreeProfileVersioned, AcceptedFramesRefuseLegacyUncommit) {
-  // uncommit() reverses tentative probes; a retained *accepted* frame is a
-  // sealed plan decision that only rewind_to may unwind.
-  FreeProfile free{StepProfile(4)};
-  free.set_retain_accepted(true);
-  FreeProfile::CommitToken token = free.commit_tentative(0, 2, 5);
-  free.accept(std::move(token));
-  EXPECT_THROW(free.uncommit(0, 2, 5), std::logic_error);
-  EXPECT_EQ(free.capacity_at(0), 2) << "failed uncommit must not mutate";
-}
-
-TEST(FreeProfileVersioned, ToggleRetainRequiresEmptyStack) {
-  FreeProfile free{StepProfile(4)};
-  FreeProfile::CommitToken token = free.commit_tentative(0, 1, 1);
-  EXPECT_THROW(free.set_retain_accepted(true), std::invalid_argument);
-  free.rollback(std::move(token));
-  free.set_retain_accepted(true);
-  EXPECT_TRUE(free.retain_accepted());
+  free.set_recording(false);
+  // Recording off: commits are permanent again.
+  free.commit_fitted(0, 1, 1);
+  EXPECT_EQ(free.frame_depth(), 0u);
+  EXPECT_THROW(free.rewind_to(before), std::logic_error);
 }
 
 TEST(FreeProfileVersioned, RewindRefusesToCrossPermanentMutations) {
   FreeProfile free{StepProfile(8)};
-  free.set_retain_accepted(true);
+  free.set_recording(true);
   const FreeProfile::Checkpoint before = free.checkpoint();
   free.adjust_capacity(0, 10, -3);  // the world moved: not a plan frame
   EXPECT_THROW(free.rewind_to(before), std::logic_error);
@@ -323,9 +305,12 @@ TEST(FreeProfileVersioned, AdjustCapacityContracts) {
   free.adjust_capacity(2, 6, 4);
   EXPECT_EQ(free.capacity_at(3), 4);
   // Plans must be rewound before the world moves.
-  FreeProfile::CommitToken token = free.commit_tentative(0, 1, 1);
+  free.set_recording(true);
+  const FreeProfile::Checkpoint plan = free.checkpoint();
+  free.commit_fitted(0, 1, 1);
   EXPECT_THROW(free.adjust_capacity(0, 1, -1), std::logic_error);
-  free.rollback(std::move(token));
+  EXPECT_EQ(free.capacity_at(3), 4) << "failed adjust must not mutate";
+  free.rewind_to(plan);
   EXPECT_THROW(free.adjust_capacity(3, 3, -1), std::invalid_argument);
 }
 
@@ -343,7 +328,7 @@ TEST(FreeProfileVersioned, CompactHistoryPreservesTheLiveSuffix) {
   EXPECT_EQ(free.capacity_at(1000), 16);
   // A checkpoint taken before a compaction is no longer rewindable: the
   // coalescing is a permanent mutation.
-  free.set_retain_accepted(true);
+  free.set_recording(true);
   const FreeProfile::Checkpoint before = free.checkpoint();
   ASSERT_GT(free.compact_history(60), 0u);
   EXPECT_THROW(free.rewind_to(before), std::logic_error);
@@ -357,7 +342,7 @@ TEST(FreeProfileVersioned, CheckpointRewindTwinFuzz) {
   Prng prng(777);
   for (int round = 0; round < 20; ++round) {
     FreeProfile free{StepProfile(32)};
-    free.set_retain_accepted(true);
+    free.set_recording(true);
     // The twin records every operation that is still in effect.
     struct Op {
       Time from = 0, to = 0;

@@ -9,7 +9,7 @@
 // budget-triggered rebuilds against a naive dense-array model.
 //
 // Also re-asserts the candidate-start lemma of profile_allocator.hpp on the
-// indexed path, checks canonical form after every commit/uncommit
+// indexed path, checks canonical form after every commit/rewind
 // interleaving, and pins the strong exception guarantee of add(): an
 // overflow mid-window must leave the profile untouched (the seed
 // implementation applied partial deltas and left equal-value neighbours
@@ -305,7 +305,7 @@ TEST(PropIndexedProfile, IntegralOverflowStillThrowsOnIndexedProfiles) {
 }
 
 // ---------------------------------------------------------------------------
-// add(): strong exception guarantee (the uncommit canonical-form fix).
+// add(): strong exception guarantee (the canonical-form fix).
 // ---------------------------------------------------------------------------
 
 TEST(PropIndexedProfile, OverflowMidWindowLeavesProfileUntouchedAndCanonical) {
@@ -350,14 +350,17 @@ TEST(PropIndexedProfile, FreeProfileOpsMatchDenseModelAndKeepCanonicalForm) {
       model.add(a, b, -carve);
     }
     FreeProfile free(capacity);
+    free.set_recording(true);
 
+    // One entry per recorded commit still in effect, oldest first, with the
+    // checkpoint taken just before it.
     struct Placed {
+      FreeProfile::Checkpoint before;
       Time t;
       ProcCount q;
       Time p;
-      FreeProfile::CommitToken token;
     };
-    std::vector<Placed> live;  // open tentative commits, oldest first
+    std::vector<Placed> live;
     for (int op = 0; op < 40; ++op) {
       const double roll = prng.uniform_real();
       if (roll < 0.5) {
@@ -388,20 +391,23 @@ TEST(PropIndexedProfile, FreeProfileOpsMatchDenseModelAndKeepCanonicalForm) {
             << t0 << " t=" << t << ")";
         ASSERT_TRUE(free.fits_at(t, q, p));
 
-        live.push_back(Placed{t, q, p, free.commit_tentative(t, q, p)});
+        live.push_back(Placed{free.checkpoint(), t, q, p});
+        free.commit_fitted(t, q, p);
         model.add(t, t + p, -q);
       } else if (roll < 0.75 && !live.empty()) {
-        // Revoke the newest open commit (undo is LIFO by contract),
-        // through the token half the time and through the checked legacy
-        // uncommit wrapper the other half.
-        Placed job = std::move(live.back());
-        live.pop_back();
-        if (prng.chance(0.5)) {
-          free.rollback(std::move(job.token));
-        } else {
-          free.uncommit(job.t, job.q, job.p);
-        }
-        model.add(job.t, job.t + job.p, job.q);
+        // Rewind to the checkpoint before the newest commit half the time,
+        // and before a random older one (a multi-frame rewind) otherwise.
+        const std::size_t newest = live.size() - 1;
+        const std::size_t keep =
+            prng.chance(0.5)
+                ? newest
+                : static_cast<std::size_t>(prng.uniform_int(
+                      0, static_cast<std::int64_t>(newest)));
+        free.rewind_to(live[keep].before);
+        for (std::size_t i = keep; i < live.size(); ++i)
+          model.add(live[i].t, live[i].t + live[i].p, live[i].q);
+        live.resize(keep);
+        ASSERT_EQ(free.frame_depth(), live.size());
       } else {
         // Pure queries.
         const Time t = prng.uniform_int(0, kHorizon);
@@ -418,13 +424,9 @@ TEST(PropIndexedProfile, FreeProfileOpsMatchDenseModelAndKeepCanonicalForm) {
       ASSERT_GE(free.profile().min_value(), 0);
     }
 
-    // Unwinding every open commit newest-first drains back to the starting
+    // Rewinding every commit still in effect drains back to the starting
     // profile bit-identically.
-    while (!live.empty()) {
-      Placed job = std::move(live.back());
-      live.pop_back();
-      free.rollback(std::move(job.token));
-    }
+    if (!live.empty()) free.rewind_to(live.front().before);
     ASSERT_EQ(free.profile(), capacity);
   }
 }
@@ -504,7 +506,7 @@ TEST(PropIndexedProfile, RecordedAddRollbackMatchesNeverTouchedTwin) {
         stack.push_back(std::move(rec));
 
         // Wide query: exercises (and mid-sequence rebuilds, if a drop ever
-        // happened) the index while tentative state is live.
+        // happened) the index while recorded state is live.
         const Time f = prng.uniform_int(0, kHorizon / 2);
         const Time t = prng.uniform_int(3 * kHorizon / 4, kHorizon + 64);
         ASSERT_EQ(subject.min_in(f, t), model.min_in(f, t))

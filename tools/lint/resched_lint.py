@@ -2,8 +2,8 @@
 """resched-lint: project-invariant static analyzer for the resched codebase.
 
 The repo's headline guarantees -- exact 64-bit tick arithmetic, bit-identical
-schedules across thread counts, ~0 allocations per decision on the service hot
-path, and transactional commit/rollback discipline -- are enforced dynamically
+schedules across thread counts and ~0 allocations per decision on the service
+hot path -- are enforced dynamically
 by differential fuzz, golden hashes and the alloc-budget gate. This tool
 encodes them as *source-level* rules so the class of bug is caught before it
 compiles:
@@ -41,19 +41,12 @@ compiles:
                   reachability check. Annotate amortized/cold sites:
                       // resched-lint: hot-path-alloc-audited(<why the budget holds>)
 
-  R4 frame        every FreeProfile::commit_tentative() call must be paired
-     discipline   with accept()/rollback() in the same function (or the token
-                  returned to the caller); calls to the legacy checked
-                  uncommit(t, q, p) wrapper are flagged for migration to
-                  CommitToken. Annotate intentional legacy uses:
-                      // resched-lint: frame-audited(<reason>)
-
 Annotation grammar (also documented in BUILDING.md):
 
     // resched-lint: <rule>-audited(<reason>)              line-scoped
     // resched-lint: <rule>-audited(<reason>) [function]   whole function
 
-with <rule> in {time-arith, determinism, hot-path-alloc, frame}. A line-scoped
+with <rule> in {time-arith, determinism, hot-path-alloc}. A line-scoped
 annotation on its own line applies to the next code line; a trailing one to
 its own line. The <reason> is mandatory and non-empty. A [function]
 annotation must sit directly above the function's signature.
@@ -98,13 +91,12 @@ from dataclasses import dataclass, field
 # Rule registry and project configuration
 # --------------------------------------------------------------------------
 
-RULES = ("R1", "R2", "R3", "R4")
+RULES = ("R1", "R2", "R3")
 
 ANNOTATION_NAMES = {
     "time-arith": "R1",
     "determinism": "R2",
     "hot-path-alloc": "R3",
-    "frame": "R4",
 }
 
 # Spelled types that live in the 64-bit tick domain. Project aliases of these
@@ -1329,71 +1321,6 @@ def scan_r3_body(toks, f, ann, relpath, path, findings):
 
 
 # --------------------------------------------------------------------------
-# R4: frame discipline
-# --------------------------------------------------------------------------
-
-def rule_r4(toks, funcs, ann, relpath, findings):
-    for f in funcs:
-        lo, hi = f.body_start, f.body_end
-        has_accept = False
-        commits = []
-        uncommits = []
-        for i in range(lo + 1, hi):
-            t = toks[i]
-            if t.kind != "id":
-                continue
-            nxt = toks[i + 1].text if i + 1 < hi else ""
-            if t.text in ("accept", "rollback"):
-                has_accept = True
-            if t.text == "commit_tentative" and nxt == "(" and \
-                    f.name != "commit_tentative":
-                # `return ...commit_tentative(...)` transfers the token.
-                stmt_start = i
-                while stmt_start > lo and toks[stmt_start].text not in \
-                        (";", "{", "}"):
-                    stmt_start -= 1
-                returned = any(toks[k].text == "return"
-                               for k in range(stmt_start, i))
-                if not returned:
-                    commits.append(t)
-            if t.text == "uncommit" and nxt == "(" and f.name != "uncommit":
-                j = i + 1
-                depth = 0
-                commas = 0
-                while j < hi:
-                    x = toks[j].text
-                    if x in ("(", "[", "{"):
-                        depth += 1
-                    elif x in (")", "]", "}"):
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    elif x == "," and depth == 1:
-                        commas += 1
-                    j += 1
-                if commas == 2:
-                    uncommits.append(t)
-        for t in commits:
-            if has_accept:
-                continue
-            if ann.suppressed("R4", t.line) or "R4" in f.annotations:
-                continue
-            findings.append(Finding(
-                "R4", relpath, t.line, t.col, f.qualified,
-                "commit_tentative() without accept()/rollback() on any path "
-                "in this function; every tentative frame must be resolved "
-                "in-function or the CommitToken returned to the caller", ""))
-        for t in uncommits:
-            if ann.suppressed("R4", t.line) or "R4" in f.annotations:
-                continue
-            findings.append(Finding(
-                "R4", relpath, t.line, t.col, f.qualified,
-                "legacy uncommit(t, q, p) call; migrate to "
-                "commit_tentative() + CommitToken accept()/rollback() "
-                "(the checked wrapper is for pre-token callers only)", ""))
-
-
-# --------------------------------------------------------------------------
 # Optional libclang type oracle (engine=libclang / auto)
 # --------------------------------------------------------------------------
 
@@ -1576,8 +1503,6 @@ def analyze(repo_root, files, rules, oracle=None):
                 rule_r1(toks, f, symbols, ann, rel, findings)
         if "R2" in rules:
             rule_r2(toks, funcs, symbols, ann, rel, findings)
-        if "R4" in rules:
-            rule_r4(toks, funcs, ann, rel, findings)
     if "R3" in rules:
         rule_r3(file_tokens, funcs_by_file, all_funcs, ann_by_file, findings)
 
@@ -1634,7 +1559,7 @@ def main(argv=None):
         prog="resched-lint",
         description="Project-invariant static analyzer for resched "
                     "(R1 time-arith, R2 determinism, R3 hot-path "
-                    "allocation, R4 frame discipline).")
+                    "allocation).")
     ap.add_argument("paths", nargs="*",
                     help="explicit files to analyze (default: src/ tree / "
                          "compile_commands.json)")
@@ -1647,7 +1572,7 @@ def main(argv=None):
     ap.add_argument("--update-baseline", action="store_true",
                     help="rewrite the baseline: prune stale entries, add "
                          "new findings as TODO")
-    ap.add_argument("--rules", default="R1,R2,R3,R4")
+    ap.add_argument("--rules", default="R1,R2,R3")
     ap.add_argument("--engine", choices=("auto", "textual", "libclang"),
                     default="auto")
     ap.add_argument("--format", choices=("text", "json"), default="text")
